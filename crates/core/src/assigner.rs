@@ -6,6 +6,15 @@
 //! problem per GNN layer and direction, solves them in parallel (the paper
 //! uses a thread pool for the same reason), and scatters fresh per-message
 //! bit-width assignments back to the workers.
+//!
+//! The round's messages use the peer-sparse little-endian binary format of
+//! the `wire` submodule: a trace carries each non-empty peer's `beta`
+//! coefficients as raw `f64` bits, a reply one width byte per message.
+//! Decoding a received message fails with a typed `AssignWireError`
+//! (truncation, trailing bytes, a bad peer, a length that disagrees with the
+//! receiver's partition, a width outside {2, 4, 8}) instead of panicking.
+
+mod wire;
 
 use crate::config::TrainingConfig;
 use crate::decompose::DevicePartition;
@@ -13,9 +22,9 @@ use bytes::Bytes;
 use comm::{CostModel, DeviceHandle};
 use quant::codec::{HEADER_BYTES, ROW_OVERHEAD_BYTES};
 use quant::BitWidth;
-use serde::{Deserialize, Serialize};
 use solver::{solve, BiObjectiveProblem, GroupSpec, PairSpec};
 use tensor::{Matrix, Rng};
+use wire::{AssignMsg, AssignWireError, PeerList, TraceMsg, WireReader};
 
 /// How widths are chosen at each reassignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,28 +179,6 @@ fn row_range(row: &[f32]) -> f32 {
     }
 }
 
-/// One device's serialized contribution to the master's problem: per layer,
-/// per direction, per peer, the per-message `beta` coefficients.
-#[derive(Debug, Serialize, Deserialize)]
-struct TraceMsg {
-    /// `fwd_betas[layer][peer][k]`.
-    fwd_betas: Vec<Vec<Vec<f64>>>,
-    /// `bwd_betas[layer][peer][k]`.
-    bwd_betas: Vec<Vec<Vec<f64>>>,
-    /// Message dims per layer (shared by both directions).
-    dims: Vec<u32>,
-}
-
-/// Master's reply: widths as raw bit counts, for both send and receive
-/// sides of every layer/direction.
-#[derive(Debug, Serialize, Deserialize)]
-struct AssignMsg {
-    fwd: Vec<Vec<Vec<u8>>>,
-    bwd: Vec<Vec<Vec<u8>>>,
-    fwd_recv: Vec<Vec<Vec<u8>>>,
-    bwd_recv: Vec<Vec<Vec<u8>>>,
-}
-
 /// Observability record of one reassignment round, identical on every rank
 /// (the master broadcasts it alongside the measured solve time).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -223,23 +210,18 @@ impl SolveStats {
     }
 
     /// Parses the broadcast payload written by [`SolveStats::to_bytes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the payload is shorter than 32 bytes.
-    fn from_bytes(raw: &[u8]) -> Self {
-        let f = |i: usize| {
-            // lint:allow(no-panic): callers pass the 32-byte payload produced by to_bytes
-            f64::from_le_bytes(raw[i * 8..(i + 1) * 8].try_into().expect("8-byte field"))
+    fn from_bytes(raw: &[u8]) -> Result<Self, AssignWireError> {
+        let mut r = WireReader::new(raw);
+        let stats = SolveStats {
+            secs: r.f64()?,
+            // Roundtrip of a count encoded as f64 by to_bytes; exact below 2^53.
+            iterations: r.f64()? as u64,
+            objective_sum: r.f64()?,
+            // Roundtrip of a count encoded as f64 by to_bytes; exact below 2^53.
+            problems: r.f64()? as u64,
         };
-        SolveStats {
-            secs: f(0),
-            // Roundtrip of a count encoded as f64 by to_bytes; exact below 2^53.
-            iterations: f(1) as u64,
-            objective_sum: f(2),
-            // Roundtrip of a count encoded as f64 by to_bytes; exact below 2^53.
-            problems: f(3) as u64,
-        }
+        r.finish()?;
+        Ok(stats)
     }
 }
 
@@ -303,32 +285,25 @@ fn reassign_adaptive(
 ) -> (WidthAssignment, SolveStats) {
     let num_layers = trace.fwd.len();
     // Step 1-2 (Fig. 6): build and gather per-device betas.
-    let msg = TraceMsg {
-        fwd_betas: (0..num_layers)
-            .map(|l| fwd_betas(part, &trace.fwd[l]))
-            .collect(),
-        bwd_betas: (0..num_layers)
-            .map(|l| bwd_betas(part, &trace.bwd[l]))
-            .collect(),
-        dims: trace.fwd.iter().map(|t| t.dim as u32).collect(),
-    };
-    // lint:allow(no-panic): serializing an in-memory struct of plain numbers cannot fail
-    let payload = Bytes::from(serde_json::to_vec(&msg).expect("trace serializes"));
+    let payload = Bytes::from(wire::encode_trace(&trace_msg(part, trace)));
     let gathered = dev.gather(0, payload);
 
     // Step 3: master solves one problem per (layer, direction) in parallel.
     let reply = if let Some(parts_raw) = gathered {
-        let all: Vec<TraceMsg> = parts_raw
+        let n = parts_raw.len();
+        let all = parts_raw
             .iter()
-            // lint:allow(no-panic): same-process roundtrip of a message this crate just serialized
-            .map(|b| serde_json::from_slice(b).expect("trace deserializes"))
-            .collect();
-        let ((replies, mut stats), secs) = comm::timing::measure(|| master_solve(&all, cost, cfg));
+            .map(|b| wire::decode_trace(b, n, num_layers))
+            .collect::<Result<Vec<TraceMsg>, _>>()
+            // lint:allow(no-panic): every rank encodes its trace with wire::encode_trace in this round
+            .expect("gathered traces decode");
+        let dims: Vec<usize> = trace.fwd.iter().map(|t| t.dim).collect();
+        let ((replies, mut stats), secs) =
+            comm::timing::measure(|| master_solve(&all, &dims, cost, cfg));
         stats.secs = secs;
         let payloads: Vec<Bytes> = replies
-            .into_iter()
-            // lint:allow(no-panic): serializing an in-memory struct of plain numbers cannot fail
-            .map(|r| Bytes::from(serde_json::to_vec(&r).expect("assignment serializes")))
+            .iter()
+            .map(|r| Bytes::from(wire::encode_reply(r)))
             .collect();
         // Piggy-back the solve stats: broadcast after scatter.
         let own = dev.scatter(0, Some(payloads));
@@ -341,82 +316,73 @@ fn reassign_adaptive(
     };
     let (own, stats_bytes) = reply;
     let solve_stats = SolveStats::from_bytes(&stats_bytes);
-    // lint:allow(no-panic): same-process roundtrip of a message this crate just serialized
-    let parsed: AssignMsg = serde_json::from_slice(&own).expect("assignment deserializes");
-    let to_widths = |raw: &Vec<Vec<Vec<u8>>>| -> Vec<Vec<Vec<BitWidth>>> {
-        raw.iter()
-            .map(|per_peer| {
-                per_peer
-                    .iter()
-                    .map(|ws| {
-                        ws.iter()
-                            .map(|&b| {
-                                // lint:allow(no-panic): master only emits widths drawn from BitWidth::ALL
-                                BitWidth::from_bits(b as u32).expect("master sent valid widths")
-                            })
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-    (
-        WidthAssignment {
-            fwd: to_widths(&parsed.fwd),
-            bwd: to_widths(&parsed.bwd),
-            fwd_recv: to_widths(&parsed.fwd_recv),
-            bwd_recv: to_widths(&parsed.bwd_recv),
-        },
-        solve_stats,
-    )
+    wire::decode_reply(&own, part, num_layers)
+        .and_then(|assignment| solve_stats.map(|stats| (assignment, stats)))
+        // lint:allow(no-panic): the master encodes this reply and stats from this round's partitions
+        .expect("master reply decodes")
+}
+
+/// This device's contribution to the round: the betas of every non-empty
+/// peer, per layer and direction.
+fn trace_msg(part: &DevicePartition, trace: &Trace) -> TraceMsg {
+    TraceMsg {
+        fwd_betas: trace.fwd.iter().map(|t| fwd_betas(part, t)).collect(),
+        bwd_betas: trace.bwd.iter().map(|t| bwd_betas(part, t)).collect(),
+    }
 }
 
 /// Sender-side `beta_k` for forward messages: `alpha_sq * D * range^2 / 6`.
-fn fwd_betas(part: &DevicePartition, t: &LayerDirTrace) -> Vec<Vec<f64>> {
-    part.send_alpha_sq
-        .iter()
-        .zip(&t.ranges)
-        .map(|(alphas, ranges)| {
+fn fwd_betas(part: &DevicePartition, t: &LayerDirTrace) -> PeerList<f64> {
+    nonempty_peers(
+        part.send_alpha_sq.iter().zip(&t.ranges),
+        |(alphas, ranges)| {
             alphas
                 .iter()
                 .zip(ranges)
                 .map(|(&a, &r)| quant::variance::beta(a, t.dim, r))
                 .collect()
-        })
-        .collect()
+        },
+    )
 }
 
 /// `beta_k` for backward (gradient) messages. Gradient rows arriving at the
 /// owner are accumulated with unit coefficient (the aggregation weights were
 /// already applied by `A^T` on the sender), so `alpha_sq = 1`.
-fn bwd_betas(part: &DevicePartition, t: &LayerDirTrace) -> Vec<Vec<f64>> {
-    part.recv_slots
-        .iter()
-        .zip(&t.ranges)
-        .map(|(slots, ranges)| {
-            slots
-                .iter()
-                .zip(ranges)
-                .map(|(_, &r)| quant::variance::beta(1.0, t.dim, r))
-                .collect()
-        })
+fn bwd_betas(part: &DevicePartition, t: &LayerDirTrace) -> PeerList<f64> {
+    nonempty_peers(part.recv_slots.iter().zip(&t.ranges), |(slots, ranges)| {
+        slots
+            .iter()
+            .zip(ranges)
+            .map(|(_, &r)| quant::variance::beta(1.0, t.dim, r))
+            .collect()
+    })
+}
+
+/// Maps each peer's entry to its items, leaving out peers without messages.
+fn nonempty_peers<I: Iterator>(per_peer: I, items: impl Fn(I::Item) -> Vec<f64>) -> PeerList<f64> {
+    per_peer
+        .enumerate()
+        .map(|(peer, entry)| (peer as u32, items(entry)))
+        .filter(|(_, betas)| !betas.is_empty())
         .collect()
 }
 
-/// One solved (layer, direction) task: `widths[src][peer][k]` bit counts,
-/// the solver's candidate-evaluation count, and its objective value.
-type SolvedTask = (Vec<Vec<Vec<u8>>>, u64, f64);
+/// One solved (layer, direction) task: `widths[src]` as a peer list, the
+/// solver's candidate-evaluation count, and its objective value.
+type SolvedTask = (Vec<PeerList<BitWidth>>, u64, f64);
 
 /// Builds and solves the per-(layer, direction) problems on the master.
-/// Returns the per-device replies plus aggregate solve stats (`secs` is left
-/// zero for the caller to fill in from its own timer).
+/// `dims[layer]` is the layer's message dimension. Returns the per-device
+/// replies plus aggregate solve stats (`secs` is left zero for the caller to
+/// fill in from its own timer).
 fn master_solve(
     all: &[TraceMsg],
+    dims: &[usize],
     cost: &CostModel,
     cfg: &TrainingConfig,
 ) -> (Vec<AssignMsg>, SolveStats) {
     let n = all.len();
-    let num_layers = all[0].dims.len();
+    let num_layers = dims.len();
     // Task list: (layer, is_bwd).
     let tasks: Vec<(usize, bool)> = (0..num_layers)
         .flat_map(|l| [(l, false), (l, true)])
@@ -425,7 +391,9 @@ fn master_solve(
     let solutions: Vec<SolvedTask> = std::thread::scope(|scope| {
         let joins: Vec<_> = tasks
             .iter()
-            .map(|&(layer, is_bwd)| scope.spawn(move || solve_one(all, cost, cfg, layer, is_bwd)))
+            .map(|&(layer, is_bwd)| {
+                scope.spawn(move || solve_one(all, dims[layer], cost, cfg, layer, is_bwd))
+            })
             .collect();
         joins
             .into_iter()
@@ -440,51 +408,49 @@ fn master_solve(
         stats.problems += 1;
     }
     // Reassemble per-device replies.
-    let mut replies: Vec<AssignMsg> = (0..n)
-        .map(|_| AssignMsg {
-            fwd: vec![Vec::new(); num_layers],
-            bwd: vec![Vec::new(); num_layers],
-            fwd_recv: vec![vec![Vec::new(); n]; num_layers],
-            bwd_recv: vec![vec![Vec::new(); n]; num_layers],
-        })
-        .collect();
-    for (t, &(layer, is_bwd)) in tasks.iter().enumerate() {
-        for (src, per_peer) in solutions[t].0.iter().enumerate() {
-            if is_bwd {
-                replies[src].bwd[layer] = per_peer.clone();
-            } else {
-                replies[src].fwd[layer] = per_peer.clone();
-            }
+    let mut replies: Vec<AssignMsg> = (0..n).map(|_| AssignMsg::empty(num_layers)).collect();
+    for (&(layer, is_bwd), (per_src, _, _)) in tasks.iter().zip(solutions) {
+        for (src, sent) in per_src.into_iter().enumerate() {
             // Mirror to the receiving side: what `src` sends to `dst` is
             // what `dst` receives from `src` (the bit-retrieval index set).
-            for (dst, widths) in per_peer.iter().enumerate() {
-                if is_bwd {
-                    replies[dst].bwd_recv[layer][src] = widths.clone();
+            // Sources ascend, so every receive list stays sorted.
+            for (dst, widths) in &sent {
+                let reply = &mut replies[*dst as usize];
+                let recv = if is_bwd {
+                    &mut reply.bwd_recv
                 } else {
-                    replies[dst].fwd_recv[layer][src] = widths.clone();
-                }
+                    &mut reply.fwd_recv
+                };
+                recv[layer].push((src as u32, widths.clone()));
             }
+            let send = if is_bwd {
+                &mut replies[src].bwd
+            } else {
+                &mut replies[src].fwd
+            };
+            send[layer] = sent;
         }
     }
     (replies, stats)
 }
 
-/// Solves one (layer, direction) problem; returns `widths[src][peer][k]` as
-/// bit counts plus the solver's candidate-evaluation count and objective.
+/// Solves one (layer, direction) problem over messages of dimension `dim`;
+/// returns `widths[src]` as a peer list plus the solver's
+/// candidate-evaluation count and objective.
 fn solve_one(
     all: &[TraceMsg],
+    dim: usize,
     cost: &CostModel,
     cfg: &TrainingConfig,
     layer: usize,
     is_bwd: bool,
 ) -> SolvedTask {
     let n = all.len();
-    let dim = all[0].dims[layer] as usize;
     let group_size = cfg.group_size.max(1);
     // Collect directed pairs with their message betas.
     struct PairRef {
         src: usize,
-        dst: usize,
+        dst: u32,
         /// Permutation: sorted-group position -> original message index.
         order: Vec<usize>,
         /// Group boundaries into `order`.
@@ -493,16 +459,14 @@ fn solve_one(
     }
     let mut pair_refs = Vec::new();
     let mut pair_specs = Vec::new();
-    for src in 0..n {
+    for (src, msg) in all.iter().enumerate() {
         let betas_all = if is_bwd {
-            &all[src].bwd_betas[layer]
+            &msg.bwd_betas[layer]
         } else {
-            &all[src].fwd_betas[layer]
+            &msg.fwd_betas[layer]
         };
-        for (dst, betas) in betas_all.iter().enumerate() {
-            if betas.is_empty() {
-                continue;
-            }
+        // Peer lists hold non-empty peers only.
+        for (dst, betas) in betas_all {
             // Sort messages by beta descending; chunk into groups.
             let mut order: Vec<usize> = (0..betas.len()).collect();
             order.sort_by(|&a, &b| {
@@ -526,7 +490,7 @@ fn solve_one(
                     bytes_per_bit: count as f64 * dim as f64 / 8.0,
                 });
             }
-            let (theta, gamma) = cost.link_params(src, dst);
+            let (theta, gamma) = cost.link_params(src, *dst as usize);
             // Fold fixed wire overhead into gamma.
             let overhead = HEADER_BYTES + betas.len() * ROW_OVERHEAD_BYTES;
             pair_specs.push(PairSpec {
@@ -536,7 +500,7 @@ fn solve_one(
             });
             pair_refs.push(PairRef {
                 src,
-                dst,
+                dst: *dst,
                 order,
                 group_of,
                 num_groups,
@@ -545,19 +509,17 @@ fn solve_one(
     }
     let problem = BiObjectiveProblem::new(pair_specs, cfg.lambda);
     let sol = solve(&problem);
-    // Materialize per-source replies.
-    let mut out: Vec<Vec<Vec<u8>>> = (0..n).map(|_| vec![Vec::new(); n]).collect();
-    for (p, r) in pair_refs.iter().enumerate() {
-        let widths = &sol.widths[p];
+    // Materialize per-source replies; pairs come in (src, dst) order, so
+    // every list ascends by peer.
+    let mut out: Vec<PeerList<BitWidth>> = vec![Vec::new(); n];
+    for (r, widths) in pair_refs.iter().zip(&sol.widths) {
         assert_eq!(widths.len(), r.num_groups);
-        let mut per_msg = vec![0u8; r.order.len()];
+        let mut per_msg = vec![BitWidth::B8; r.order.len()];
         for (pos, &orig) in r.order.iter().enumerate() {
-            per_msg[orig] = widths[r.group_of[pos]].bits() as u8;
+            per_msg[orig] = widths[r.group_of[pos]];
         }
-        out[r.src][r.dst] = per_msg;
+        out[r.src].push((r.dst, per_msg));
     }
-    // Peers with no messages keep empty vectors (consistent with empty send
-    // sets).
     (out, sol.iterations as u64, sol.objective)
 }
 
@@ -617,15 +579,10 @@ mod tests {
     fn uniform_sampling_respects_groups() {
         let parts = setup(2);
         let part = &parts[0];
-        let trace = Trace::new(part, &[8, 8]);
-        let cost = CostModel::homogeneous(2, 1e9, 1e-5);
         let cfg = TrainingConfig {
             group_size: 4,
             ..TrainingConfig::default()
         };
-        // UniformRandom requires no cross-device calls, so no cluster needed:
-        // fabricate a handle via a 1-device cluster trick is impossible here;
-        // instead call the sampler directly.
         let mut rng = Rng::seed_from(33);
         let mut a = WidthAssignment::fixed(part, 2, BitWidth::B8);
         sample_uniform(&mut a.fwd[0], cfg.group_size, &mut rng);
@@ -635,7 +592,6 @@ mod tests {
                 assert!(chunk.iter().all(|&w| w == chunk[0]));
             }
         }
-        let _ = (trace, cost);
     }
 
     #[test]
@@ -655,7 +611,9 @@ mod tests {
             *r = 2.0;
         }
         let b2 = fwd_betas(part, &t);
-        for (p1, p2) in b1.iter().zip(&b2) {
+        assert!(!b1.is_empty());
+        for ((q1, p1), (q2, p2)) in b1.iter().zip(&b2) {
+            assert_eq!(q1, q2);
             for (x, y) in p1.iter().zip(p2) {
                 assert!((y / x - 4.0).abs() < 1e-9);
             }
@@ -716,6 +674,147 @@ mod tests {
             // Assignment uses at least one real width.
             let (h2, h4, h8) = assign.histogram();
             assert!(h2 + h4 + h8 > 0);
+        }
+    }
+
+    #[test]
+    fn solve_stats_roundtrip_and_reject_bad_lengths() {
+        let stats = SolveStats {
+            secs: 0.25,
+            iterations: 1 << 40,
+            objective_sum: -3.5,
+            problems: 6,
+        };
+        let raw = stats.to_bytes();
+        assert_eq!(SolveStats::from_bytes(&raw), Ok(stats));
+        assert_eq!(
+            SolveStats::from_bytes(&raw[..31]),
+            Err(AssignWireError::Truncated { offset: 24 })
+        );
+        assert_eq!(
+            SolveStats::from_bytes(&[raw.as_slice(), &[0]].concat()),
+            Err(AssignWireError::TrailingBytes { extra: 1 })
+        );
+    }
+
+    /// A trace with varied, nonzero ranges in both directions of two layers.
+    fn busy_trace(part: &DevicePartition) -> Trace {
+        let dims = [16usize, 8];
+        let mut trace = Trace::new(part, &dims);
+        let rows = part.num_local() + part.halo_nodes.len();
+        for (l, &d) in dims.iter().enumerate() {
+            let x = Matrix::from_fn(rows, d, |i, j| {
+                ((i * 7 + j * 3 + l + part.rank) % 11) as f32 * 0.3
+            });
+            trace.record_fwd(part, l, &x);
+            trace.record_bwd(part, l, &x);
+        }
+        trace
+    }
+
+    #[test]
+    fn wire_round_is_lossless_against_a_direct_master_solve() {
+        let parts = wire::tests::setup();
+        let n = parts.len();
+        assert!(
+            parts.iter().any(|pt| pt
+                .send_sets
+                .iter()
+                .enumerate()
+                .any(|(q, s)| q != pt.rank && s.is_empty())),
+            "the fixture needs an empty ordered device pair"
+        );
+        let cfg = TrainingConfig {
+            group_size: 4,
+            lambda: 0.5,
+            ..TrainingConfig::default()
+        };
+        let cost = CostModel::homogeneous(n, 1e6, 1e-5);
+        let traces: Vec<Trace> = parts.iter().map(busy_trace).collect();
+        let num_layers = traces[0].fwd.len();
+
+        // Reference: the master's solve on the un-encoded messages, each
+        // reply expanded to one vector per peer.
+        let msgs: Vec<TraceMsg> = parts
+            .iter()
+            .zip(&traces)
+            .map(|(pt, t)| trace_msg(pt, t))
+            .collect();
+        let dims: Vec<usize> = traces[0].fwd.iter().map(|t| t.dim).collect();
+        let (replies, ref_stats) = master_solve(&msgs, &dims, &cost, &cfg);
+
+        let (parts_ref, traces_ref, cfg_ref, cost_ref) = (&parts, &traces, &cfg, &cost);
+        let out = comm::Cluster::run_fn(n, move |mut dev| {
+            dev.enable_metrics();
+            let r = dev.rank();
+            let mut rng = Rng::seed_from(r as u64);
+            let (assign, solve) = reassign(
+                &mut dev,
+                &parts_ref[r],
+                cost_ref,
+                &traces_ref[r],
+                cfg_ref,
+                AssignMode::Adaptive,
+                &mut rng,
+            );
+            // A worker's only send in the round is its gathered trace.
+            let sent = dev
+                .metrics()
+                .and_then(|m| {
+                    m.get(
+                        "adaqp_comm_sent_bytes_total",
+                        &[("src", &r.to_string()), ("dst", "0")],
+                    )
+                })
+                .map(|m| m.value);
+            (assign, solve, sent)
+        });
+
+        let (h2, h4, _) = out.iter().fold((0, 0, 0), |(a, b, c), (assign, _, _)| {
+            let (x, y, z) = assign.histogram();
+            (a + x, b + y, c + z)
+        });
+        assert!(h2 + h4 > 0, "the solve compresses some messages");
+        for (me, (assign, solve, sent)) in out.iter().enumerate() {
+            assert_eq!(
+                *assign,
+                wire::tests::expand(&parts[me], &replies[me]),
+                "rank {me}"
+            );
+            assert_eq!(
+                (
+                    solve.iterations,
+                    solve.problems,
+                    solve.objective_sum.to_bits()
+                ),
+                (
+                    ref_stats.iterations,
+                    ref_stats.problems,
+                    ref_stats.objective_sum.to_bits()
+                )
+            );
+            for (src, (sender, _, _)) in out.iter().enumerate() {
+                for l in 0..num_layers {
+                    assert_eq!(assign.fwd_recv[l][src], sender.fwd[l][me]);
+                    assert_eq!(assign.bwd_recv[l][src], sender.bwd[l][me]);
+                }
+            }
+            // The documented trace layout: per (direction, layer) a 4-byte
+            // count, then per non-empty peer 8 header bytes and 8 per beta.
+            let dir = |sets: &[Vec<u32>]| -> usize {
+                4 + sets
+                    .iter()
+                    .filter(|s| !s.is_empty())
+                    .map(|s| 8 + 8 * s.len())
+                    .sum::<usize>()
+            };
+            let part = &parts[me];
+            let layout = num_layers * (dir(&part.send_sets) + dir(&part.recv_slots));
+            if me == 0 {
+                assert_eq!(*sent, None, "the master sends nothing to itself");
+            } else {
+                assert_eq!(*sent, Some(layout as f64), "rank {me}");
+            }
         }
     }
 }

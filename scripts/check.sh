@@ -33,6 +33,9 @@ ADAQP_SAN=1 cargo run --offline -q --release -p adaqp --bin adaqp -- \
 echo "==> cargo test -q"
 cargo test --offline -q
 
+echo "==> e2ebench unit tests (its own package: a public-API change that breaks the benchmark fails here)"
+cargo test --release --offline -q --manifest-path e2ebench/Cargo.toml
+
 echo "==> sanitized codec tests (ADAQP_SAN=1: reference-pinning proptests under adversarial schedules)"
 ADAQP_SAN=1 cargo test --offline -q -p quant
 
