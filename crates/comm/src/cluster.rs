@@ -39,8 +39,9 @@ pub enum ClusterError {
         /// Stringified panic payload (empty if the payload was not a string).
         message: String,
     },
-    /// A `Send`/`Recv` named a peer rank outside `0..n`. Nothing panicked —
-    /// the program yielded a structurally invalid command.
+    /// A `Send`/`Recv` or a ring all2all list named a peer rank outside
+    /// `0..n`. Nothing panicked — the program yielded a structurally
+    /// invalid command.
     InvalidPeer {
         /// Rank that yielded the bad command.
         rank: usize,
@@ -48,7 +49,7 @@ pub enum ClusterError {
         peer: usize,
         /// Cluster size.
         n: usize,
-        /// Which operation named it: `"send"` or `"recv"`.
+        /// Which operation named it: `"send"`, `"recv"` or `"ring_all2all"`.
         op: &'static str,
     },
     /// The cluster deadlocked: no device is runnable, and not every device
@@ -171,11 +172,11 @@ impl Cluster {
     ///
     /// [`ClusterError::NoDevices`] if `n == 0`;
     /// [`ClusterError::DevicePanicked`] if a program panics;
-    /// [`ClusterError::InvalidPeer`] if a `Send`/`Recv` names a rank
-    /// outside `0..n`;
+    /// [`ClusterError::InvalidPeer`] if a `Send`/`Recv` or a ring list
+    /// names a rank outside `0..n`;
     /// [`ClusterError::Deadlock`] on a stall, carrying the wait-for graph;
     /// [`ClusterError::CollectiveMismatch`] when ranks disagree on a
-    /// collective.
+    /// collective or a ring list breaks its contract.
     pub fn try_run_with<P, F>(
         n: usize,
         cost: Option<&CostModel>,
@@ -689,39 +690,83 @@ impl DeviceHandle {
         p.recv(src, tag)
     }
 
-    /// Ring all2all (Fig. 8): sends `payloads[dst]` to every other device in
-    /// `N-1` rounds and returns the payloads received, indexed by source
-    /// (`result[rank]` is `None`).
+    /// Peer-sparse ring all2all (Fig. 8), the primary ring call: sends each
+    /// `(dst, payload)` of `sends` to `dst` in ring round `(dst - rank) mod N`
+    /// and returns the payloads addressed to this device as `(src, payload)`
+    /// with `src` strictly ascending. Pairs that carry no data appear in
+    /// neither list and cost the scheduler nothing.
+    ///
+    /// `sends` must list `dst` strictly ascending, never this rank, with
+    /// non-empty payloads; the event core fails the run with a typed
+    /// [`ClusterError`] otherwise. With metrics enabled every one of the
+    /// `N-1` round destinations is counted, empty ones included, exactly
+    /// as the dense [`DeviceHandle::ring_all2all`] counts them.
+    pub fn ring_all2all_sparse(&mut self, sends: Vec<(usize, Bytes)>) -> Vec<(usize, Bytes)> {
+        if self.metrics.is_some() {
+            for round in 1..self.n {
+                let dst = (self.rank + round) % self.n;
+                let bytes = sends
+                    .binary_search_by_key(&dst, |&(d, _)| d)
+                    .map_or(0, |i| sends[i].1.len());
+                self.count_send(dst, bytes);
+            }
+        }
+        match &mut self.port {
+            Port::Event(p) => match p.roundtrip(Command::RingAll2All { payloads: sends }) {
+                Resume::RingDone(received) => received,
+                other => protocol_violation("RingDone", &other),
+            },
+            #[cfg(feature = "thread-backend")]
+            Port::Thread(_) => self.threaded_ring(sends),
+        }
+    }
+
+    /// Dense ring all2all: a thin adapter over
+    /// [`DeviceHandle::ring_all2all_sparse`]. Sends `payloads[dst]` to every
+    /// other device and returns the payloads received, indexed by source:
+    /// `result[rank]` is `None`, every other entry is `Some`, and a source
+    /// that sent nothing yields an empty payload.
     ///
     /// # Panics
     ///
     /// Panics unless `payloads.len() == num_devices()`.
     pub fn ring_all2all(&mut self, payloads: Vec<Bytes>) -> Vec<Option<Bytes>> {
         assert_eq!(payloads.len(), self.n, "one payload per destination");
-        for round in 1..self.n {
-            let dst = (self.rank + round) % self.n;
-            self.count_send(dst, payloads[dst].len());
+        let rank = self.rank;
+        let sends = payloads
+            .into_iter()
+            .enumerate()
+            .filter(|(dst, payload)| *dst != rank && !payload.is_empty())
+            .collect();
+        let mut received: Vec<Option<Bytes>> = (0..self.n)
+            .map(|src| (src != rank).then(Bytes::new))
+            .collect();
+        for (src, payload) in self.ring_all2all_sparse(sends) {
+            received[src] = Some(payload);
         }
-        match &mut self.port {
-            Port::Event(p) => match p.roundtrip(Command::RingAll2All { payloads }) {
-                Resume::RingDone(received) => received,
-                other => protocol_violation("RingDone", &other),
-            },
-            #[cfg(feature = "thread-backend")]
-            Port::Thread(_) => self.threaded_ring(payloads),
-        }
+        received
     }
 
+    /// The ring over the thread transport: every round still moves one
+    /// (possibly empty) message, since the receiver blocks on it.
     #[cfg(feature = "thread-backend")]
-    fn threaded_ring(&mut self, payloads: Vec<Bytes>) -> Vec<Option<Bytes>> {
+    fn threaded_ring(&mut self, sends: Vec<(usize, Bytes)>) -> Vec<(usize, Bytes)> {
         let tag = self.fresh_tag();
-        let mut received: Vec<Option<Bytes>> = (0..self.n).map(|_| None).collect();
+        let mut outgoing = vec![Bytes::new(); self.n];
+        for (dst, payload) in sends {
+            outgoing[dst] = payload;
+        }
+        let mut received = Vec::new();
         for round in 1..self.n {
             let dst = (self.rank + round) % self.n;
             let src = (self.rank + self.n - round) % self.n;
-            self.thread_send(dst, tag, payloads[dst].clone());
-            received[src] = Some(self.thread_recv(src, tag));
+            self.thread_send(dst, tag, std::mem::take(&mut outgoing[dst]));
+            let payload = self.thread_recv(src, tag);
+            if !payload.is_empty() {
+                received.push((src, payload));
+            }
         }
+        received.sort_unstable_by_key(|&(src, _)| src);
         received
     }
 

@@ -93,12 +93,12 @@ type Mailbox = BTreeMap<(usize, u64), VecDeque<(f64, Bytes)>>;
 ///
 /// [`ClusterError::NoDevices`] for an empty program list,
 /// [`ClusterError::DevicePanicked`] when a program panics mid-step,
-/// [`ClusterError::InvalidPeer`] when a `Send`/`Recv` names a peer outside
-/// `0..n`, [`ClusterError::Deadlock`] on a stall (a recv that can never be
-/// satisfied, or a collective some rank never enters) carrying the full
-/// [`WaitGraph`] of suspended ranks, and
+/// [`ClusterError::InvalidPeer`] when a `Send`/`Recv` or a ring list names
+/// a peer outside `0..n`, [`ClusterError::Deadlock`] on a stall (a recv
+/// that can never be satisfied, or a collective some rank never enters)
+/// carrying the full [`WaitGraph`] of suspended ranks, and
 /// [`ClusterError::CollectiveMismatch`] when ranks disagree on the
-/// collective they are entering.
+/// collective they are entering or a ring list breaks its contract.
 pub fn run_programs<P: DeviceProgram>(
     programs: Vec<P>,
     cost: Option<&CostModel>,
@@ -401,39 +401,36 @@ fn run_collective(
             }
         }
         Shape::Ring => {
-            let mut matrix: Vec<Vec<Bytes>> = Vec::with_capacity(n);
+            let mut sends: Vec<Vec<(usize, Bytes)>> = Vec::with_capacity(n);
             for (rank, cmd) in cmds.into_iter().enumerate() {
                 let Command::RingAll2All { payloads } = cmd else {
                     // Kind agreement was validated above.
                     unreachable!("ring collective with a non-ring command");
                 };
-                if payloads.len() != n {
-                    return Err(ClusterError::CollectiveMismatch {
-                        rank,
-                        detail: format!(
-                            "ring_all2all needs one payload per rank: got {} for n = {n}",
-                            payloads.len()
-                        ),
-                    });
-                }
-                matrix.push(payloads);
+                validate_ring_sends(rank, n, &payloads)?;
+                sends.push(payloads);
             }
-            for rank in 0..n {
-                let mut result: Vec<Option<Bytes>> = (0..n).map(|_| None).collect();
-                // Per-device unsynchronized ring time: each of the N-1
-                // rounds costs max(own send, own recv) on full-duplex links
-                // (the Table 2 model; see `CostModel::per_device_ring_seconds`).
-                let mut elapsed = 0.0f64;
-                for round in 1..n {
-                    let dst = (rank + round) % n;
-                    let src = (rank + n - round) % n;
-                    result[src] = Some(matrix[src][rank].clone());
-                    let send = transfer(rank, dst, matrix[rank][dst].len());
-                    let recv = transfer(src, rank, matrix[src][rank].len());
-                    elapsed += send.max(recv);
+            // The clocks need every sender's byte counts after the payloads
+            // have moved into the inboxes.
+            let sent_lens: Vec<Vec<(usize, usize)>> = match cost {
+                Some(_) => sends
+                    .iter()
+                    .map(|list| list.iter().map(|(dst, p)| (*dst, p.len())).collect())
+                    .collect(),
+                None => Vec::new(),
+            };
+            // Route in O(n + nnz) by moving payloads; visiting senders in
+            // rank order leaves every inbox sorted by source.
+            let mut inboxes: Vec<Vec<(usize, Bytes)>> = (0..n).map(|_| Vec::new()).collect();
+            for (src, list) in sends.into_iter().enumerate() {
+                for (dst, payload) in list {
+                    inboxes[dst].push((src, payload));
                 }
+            }
+            for (rank, inbox) in inboxes.into_iter().enumerate() {
+                let elapsed = cost.map_or(0.0, |c| ring_seconds(c, rank, &sent_lens[rank], &inbox));
                 ctxs[rank].advance_to(t0 + elapsed);
-                statuses[rank] = Status::Ready(Resume::RingDone(result));
+                statuses[rank] = Status::Ready(Resume::RingDone(inbox));
             }
         }
         Shape::Broadcast(root) => {
@@ -530,6 +527,101 @@ fn run_collective(
     Ok(())
 }
 
+/// Checks one rank's sparse ring list against the [`Command::RingAll2All`]
+/// contract in O(list length): every `dst` in range, not the rank itself,
+/// strictly ascending, and every payload non-empty.
+fn validate_ring_sends(
+    rank: usize,
+    n: usize,
+    sends: &[(usize, Bytes)],
+) -> Result<(), ClusterError> {
+    let mut prev: Option<usize> = None;
+    for (dst, payload) in sends {
+        let dst = *dst;
+        if dst >= n {
+            return Err(ClusterError::InvalidPeer {
+                rank,
+                peer: dst,
+                n,
+                op: "ring_all2all",
+            });
+        }
+        let problem = if dst == rank {
+            "is the sending rank itself".to_string()
+        } else if prev == Some(dst) {
+            "is listed twice".to_string()
+        } else if let Some(p) = prev.filter(|&p| dst < p) {
+            format!("follows dst {p} (the list must ascend)")
+        } else if payload.is_empty() {
+            "carries an empty payload".to_string()
+        } else {
+            prev = Some(dst);
+            continue;
+        };
+        return Err(ClusterError::CollectiveMismatch {
+            rank,
+            detail: format!("ring_all2all list of rank {rank}: dst {dst} {problem}"),
+        });
+    }
+    Ok(())
+}
+
+/// Per-device unsynchronized ring time (the Table 2 model; see
+/// `CostModel::per_device_ring_seconds`): round `r` costs
+/// `max(send to rank + r, recv from rank - r)` on full-duplex links.
+///
+/// Only rounds that carry traffic are visited, in ascending round order.
+/// A skipped round costs `max(0.0, 0.0)` in the dense formula
+/// (`transfer_time` of zero bytes is exactly `0.0`), and adding `+0.0` to a
+/// non-negative sum leaves its bits unchanged, so the result equals the
+/// dense sum bit for bit.
+fn ring_seconds(
+    cost: &CostModel,
+    rank: usize,
+    sends: &[(usize, usize)],
+    recvs: &[(usize, Bytes)],
+) -> f64 {
+    let n = cost.num_devices();
+    // Ascending rounds: destinations above the rank come first (rounds
+    // `dst - rank`), then the ones below (rounds `dst + n - rank`); sources
+    // run the other way round the ring, so both halves are walked in
+    // reverse.
+    let split = sends.partition_point(|&(dst, _)| dst < rank);
+    let mut tx = sends[split..]
+        .iter()
+        .chain(&sends[..split])
+        .map(|&(dst, len)| ((dst + n - rank) % n, cost.transfer_time(rank, dst, len)));
+    let split = recvs.partition_point(|&(src, _)| src < rank);
+    let mut rx = recvs[..split]
+        .iter()
+        .rev()
+        .chain(recvs[split..].iter().rev())
+        .map(|(src, p)| {
+            (
+                (rank + n - src) % n,
+                cost.transfer_time(*src, rank, p.len()),
+            )
+        });
+    let (mut next_tx, mut next_rx) = (tx.next(), rx.next());
+    let mut elapsed = 0.0f64;
+    while next_tx.is_some() || next_rx.is_some() {
+        let round = next_tx
+            .map_or(usize::MAX, |(r, _)| r)
+            .min(next_rx.map_or(usize::MAX, |(r, _)| r));
+        let (mut send, mut recv) = (0.0f64, 0.0f64);
+        if let Some((_, t)) = next_tx.filter(|&(r, _)| r == round) {
+            send = t;
+            next_tx = tx.next();
+        }
+        if let Some((_, t)) = next_rx.filter(|&(r, _)| r == round) {
+            recv = t;
+            next_rx = rx.next();
+        }
+        elapsed += send.max(recv);
+    }
+    elapsed
+}
+
 fn validate_rooted_payload(cmds: &[Command], root: usize, n: usize) -> Result<Bytes, ClusterError> {
     if root >= n {
         return Err(root_range_error(root, n));
@@ -578,5 +670,125 @@ fn root_mismatch_error(rank: usize, expected: usize, got: usize) -> ClusterError
     ClusterError::CollectiveMismatch {
         rank,
         detail: format!("rank 0 used root {expected} but rank {rank} used root {got}"),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Enters one ring all2all with a fixed send list and returns what it
+    /// received.
+    struct OneRing(Vec<(usize, Bytes)>);
+
+    impl DeviceProgram for OneRing {
+        type Output = Vec<(usize, Bytes)>;
+        fn resume(&mut self, _ctx: &mut DeviceCtx, input: Resume) -> Step<Self::Output> {
+            match input {
+                Resume::Start => Step::Yield(Command::RingAll2All {
+                    payloads: std::mem::take(&mut self.0),
+                }),
+                Resume::RingDone(received) => Step::Done(received),
+                other => panic!("unexpected resume {other:?}"),
+            }
+        }
+    }
+
+    fn b(v: u8) -> Bytes {
+        Bytes::from(vec![v])
+    }
+
+    fn ring(
+        lists: Vec<Vec<(usize, Bytes)>>,
+    ) -> Result<ClusterReport<Vec<(usize, Bytes)>>, ClusterError> {
+        run_programs(lists.into_iter().map(OneRing).collect(), None)
+    }
+
+    /// Runs a 4-rank ring where only `rank` sends `list`, expecting a
+    /// mismatch at that rank; returns the detail.
+    fn mismatch(rank: usize, list: Vec<(usize, Bytes)>) -> String {
+        let mut lists = vec![Vec::new(); 4];
+        lists[rank] = list;
+        match ring(lists) {
+            Err(ClusterError::CollectiveMismatch { rank: r, detail }) if r == rank => detail,
+            other => panic!("expected a mismatch at rank {rank}, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn ring_routes_sparse_lists_into_source_sorted_inboxes() {
+        let report = ring(vec![
+            vec![(3, b(3))],
+            vec![(0, b(10))],
+            vec![],
+            vec![(0, b(30)), (2, b(32))],
+        ])
+        .unwrap();
+        assert_eq!(
+            report.outputs,
+            vec![
+                vec![(1, b(10)), (3, b(30))],
+                vec![],
+                vec![(3, b(32))],
+                vec![(0, b(3))],
+            ]
+        );
+        assert_eq!(report.collectives, 1);
+    }
+
+    #[test]
+    fn ring_dst_out_of_range_is_an_invalid_peer() {
+        let mut lists = vec![Vec::new(); 4];
+        lists[2] = vec![(1, b(1)), (4, b(4))];
+        let err = ring(lists).unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::InvalidPeer {
+                rank: 2,
+                peer: 4,
+                n: 4,
+                op: "ring_all2all"
+            }
+        );
+    }
+
+    #[test]
+    fn ring_dst_equal_to_rank_is_a_mismatch() {
+        let detail = mismatch(1, vec![(0, b(0)), (1, b(1))]);
+        assert!(
+            detail.contains("rank 1") && detail.contains("dst 1"),
+            "{detail}"
+        );
+        assert!(detail.contains("sending rank itself"), "{detail}");
+    }
+
+    #[test]
+    fn ring_unsorted_dst_is_a_mismatch() {
+        let detail = mismatch(0, vec![(3, b(3)), (2, b(2))]);
+        assert!(
+            detail.contains("rank 0") && detail.contains("dst 2"),
+            "{detail}"
+        );
+        assert!(detail.contains("must ascend"), "{detail}");
+    }
+
+    #[test]
+    fn ring_duplicate_dst_is_a_mismatch() {
+        let detail = mismatch(3, vec![(1, b(1)), (1, b(2))]);
+        assert!(
+            detail.contains("rank 3") && detail.contains("dst 1"),
+            "{detail}"
+        );
+        assert!(detail.contains("listed twice"), "{detail}");
+    }
+
+    #[test]
+    fn ring_empty_payload_is_a_mismatch() {
+        let detail = mismatch(2, vec![(0, b(0)), (3, Bytes::new())]);
+        assert!(
+            detail.contains("rank 2") && detail.contains("dst 3"),
+            "{detail}"
+        );
+        assert!(detail.contains("empty payload"), "{detail}");
     }
 }

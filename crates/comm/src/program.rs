@@ -51,11 +51,18 @@ pub enum Command {
     },
     /// Wait until every rank has reached a barrier.
     Barrier,
-    /// Ring all2all (Fig. 8): `payloads[dst]` goes to every other rank over
-    /// `N-1` rounds; resumes with the payloads received, indexed by source.
+    /// Peer-sparse ring all2all (Fig. 8): each `(dst, payload)` goes to
+    /// `dst` in ring round `(dst - rank) mod N`; destinations missing from
+    /// the list receive nothing. Resumes with [`Resume::RingDone`].
+    ///
+    /// The list contract (DESIGN.md §10): `dst` strictly ascending, every
+    /// `dst` in `0..N` and not the yielding rank, every payload non-empty.
+    /// A list that breaks it fails the run with a typed error
+    /// ([`crate::ClusterError::InvalidPeer`] for `dst >= N`,
+    /// [`crate::ClusterError::CollectiveMismatch`] otherwise).
     RingAll2All {
-        /// One payload per destination rank (`payloads[rank]` is ignored).
-        payloads: Vec<Bytes>,
+        /// The non-empty payloads, one per destination, `dst` ascending.
+        payloads: Vec<(usize, Bytes)>,
     },
     /// Broadcast from `root`: the root passes `Some`, everyone else `None`.
     Broadcast {
@@ -135,8 +142,10 @@ pub enum Resume {
     Received(Bytes),
     /// Every rank reached the [`Command::Barrier`].
     BarrierDone,
-    /// Ring all2all results, indexed by source (`[rank]` is `None`).
-    RingDone(Vec<Option<Bytes>>),
+    /// Ring all2all results: the non-empty payloads addressed to this rank,
+    /// as `(src, payload)` with `src` strictly ascending. Sources that sent
+    /// nothing are absent.
+    RingDone(Vec<(usize, Bytes)>),
     /// The broadcast payload (identical on every rank).
     BroadcastDone(Bytes),
     /// Gather results: `Some(payloads by rank)` on the root, `None` off it.

@@ -1,11 +1,49 @@
 //! Property tests for the cluster runtime: random message schedules must
 //! deliver every payload exactly once, in order, regardless of
 //! interleaving — and the event core must agree with the retired thread
-//! backend on every schedule.
+//! backend on every schedule. The peer-sparse ring must deliver exactly
+//! what the dense all-pairs ring delivered, and charge the same clocks.
 
 use bytes::Bytes;
-use comm::Cluster;
+use comm::{Cluster, Topology};
 use proptest::prelude::*;
+
+/// The ring payload `src` sends `dst` in a random exchange: `sizes` is an
+/// `n x n` row-major matrix of byte counts, zero meaning "nothing to send".
+fn ring_payload(sizes: &[usize], n: usize, src: usize, dst: usize) -> Bytes {
+    let len = if src == dst { 0 } else { sizes[src * n + dst] };
+    Bytes::from(
+        (0..len)
+            .map(|i| (src * 31 + dst * 7 + i) as u8)
+            .collect::<Vec<u8>>(),
+    )
+}
+
+/// Folds a random `9 x 9` cell draw into an `n x n` size matrix: a cell
+/// carries data when its coin falls under `density` (0 = all empty,
+/// 4 = all full).
+fn ring_sizes(n: usize, density: u8, cells: &[(u8, usize)]) -> Vec<usize> {
+    (0..n * n)
+        .map(|i| {
+            let (coin, len) = cells[(i / n) * 9 + i % n];
+            if coin < density {
+                len
+            } else {
+                0
+            }
+        })
+        .collect()
+}
+
+/// A heterogeneous cost model for `n` devices: two tiers of machines, two
+/// machines per rack, and an oversubscribed spine between racks.
+fn ring_cost(n: usize) -> comm::CostModel {
+    let per_machine = if n.is_multiple_of(2) { 2 } else { 1 };
+    Topology::new(n / per_machine, per_machine)
+        .machines_per_rack(2)
+        .oversubscription(4.0)
+        .cost_model()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -99,6 +137,76 @@ proptest! {
                 prop_assert_eq!(red0, expected_sum);
                 prop_assert_eq!(red1, n as u32);
             }
+        }
+    }
+
+    #[test]
+    fn sparse_ring_delivers_what_the_dense_ring_did(
+        n in 1usize..=9,
+        density in 0u8..=4,
+        cells in proptest::collection::vec((0u8..4, 1usize..48), 81),
+    ) {
+        let sizes = ring_sizes(n, density, &cells);
+        let sizes = &sizes;
+        let device = move |mut dev: comm::DeviceHandle| {
+            let me = dev.rank();
+            let sends: Vec<(usize, Bytes)> = (0..n)
+                .map(|dst| (dst, ring_payload(sizes, n, me, dst)))
+                .filter(|(_, p)| !p.is_empty())
+                .collect();
+            let sparse = dev.ring_all2all_sparse(sends);
+            let dense = dev.ring_all2all((0..n).map(|dst| ring_payload(sizes, n, me, dst)).collect());
+            (sparse, dense)
+        };
+        let results = Cluster::run_fn(n, device);
+        #[cfg(feature = "thread-backend")]
+        prop_assert_eq!(&results, &Cluster::run_fn_threaded(n, device));
+        for (me, (sparse, dense)) in results.iter().enumerate() {
+            // The old dense semantics: `Some` from every other rank (empty
+            // where it sent nothing), `None` from self.
+            let want_dense: Vec<Option<Bytes>> = (0..n)
+                .map(|src| (src != me).then(|| ring_payload(sizes, n, src, me)))
+                .collect();
+            prop_assert_eq!(dense, &want_dense, "rank {} dense", me);
+            let want_sparse: Vec<(usize, Bytes)> = want_dense
+                .iter()
+                .enumerate()
+                .filter_map(|(src, p)| p.clone().filter(|p| !p.is_empty()).map(|p| (src, p)))
+                .collect();
+            prop_assert_eq!(sparse, &want_sparse, "rank {} sparse", me);
+        }
+    }
+
+    #[test]
+    fn sparse_ring_clocks_match_the_dense_cost_formula_bit_for_bit(
+        n in 1usize..=9,
+        density in 0u8..=4,
+        cells in proptest::collection::vec((0u8..4, 1usize..4096), 81),
+    ) {
+        let sizes = ring_sizes(n, density, &cells);
+        let sizes = &sizes;
+        let cost = ring_cost(n);
+        let bytes: Vec<Vec<usize>> = (0..n)
+            .map(|src| (0..n).map(|dst| ring_payload(sizes, n, src, dst).len()).collect())
+            .collect();
+        let want = cost.per_device_ring_seconds(&bytes);
+        let sparse = Cluster::try_run_fn_with(n, Some(&cost), move |mut dev: comm::DeviceHandle| {
+            let me = dev.rank();
+            let sends = (0..n)
+                .map(|dst| (dst, ring_payload(sizes, n, me, dst)))
+                .filter(|(_, p)| !p.is_empty())
+                .collect();
+            dev.ring_all2all_sparse(sends).len()
+        })
+        .unwrap();
+        let dense = Cluster::try_run_fn_with(n, Some(&cost), move |mut dev: comm::DeviceHandle| {
+            let me = dev.rank();
+            dev.ring_all2all((0..n).map(|dst| ring_payload(sizes, n, me, dst)).collect()).len()
+        })
+        .unwrap();
+        for (rank, want) in want.iter().enumerate() {
+            prop_assert_eq!(sparse.clocks[rank].to_bits(), want.to_bits(), "rank {} sparse", rank);
+            prop_assert_eq!(dense.clocks[rank].to_bits(), want.to_bits(), "rank {} dense", rank);
         }
     }
 }

@@ -47,7 +47,8 @@ pub struct ExchangeStats {
 }
 
 impl ExchangeStats {
-    fn new(n: usize) -> Self {
+    /// Zeroed accounting for an exchange among `n` devices.
+    pub(crate) fn new(n: usize) -> Self {
         Self {
             sent_bytes: vec![0; n],
             recv_bytes: vec![0; n],
@@ -156,6 +157,76 @@ pub fn bytes_to_matrix(bytes: &Bytes, rows: usize, cols: usize) -> Matrix {
     Matrix::from_vec(rows, cols, data).expect("sized by construction")
 }
 
+/// Serializes rows `offset + rows[k]` of `m` as little-endian `f32` bytes,
+/// straight into one wire buffer (the layout of [`matrix_to_bytes`] applied
+/// to the gathered rows, without the intermediate matrix).
+pub(crate) fn rows_to_bytes(m: &Matrix, rows: &[u32], offset: usize) -> Bytes {
+    let mut raw = Vec::with_capacity(rows.len() * m.cols() * 4);
+    for &r in rows {
+        for v in m.row(offset + r as usize) {
+            raw.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    Bytes::from(raw)
+}
+
+/// Iterates the `dim`-wide little-endian `f32` rows of an fp32 payload that
+/// must hold exactly `rows` of them.
+///
+/// # Panics
+///
+/// Panics if the byte length is not `rows * dim * 4`.
+fn payload_rows(payload: &[u8], rows: usize, dim: usize) -> std::slice::ChunksExact<'_, u8> {
+    assert_eq!(payload.len(), rows * dim * 4, "fp32 payload size mismatch");
+    payload.chunks_exact((dim * 4).max(1))
+}
+
+/// Decodes an fp32 payload straight into rows `slots[k]` of `halo`.
+///
+/// # Panics
+///
+/// Panics if the payload does not hold one `halo.cols()`-wide row per slot.
+pub(crate) fn copy_rows_from_bytes(payload: &[u8], halo: &mut Matrix, slots: &[u32]) {
+    let dim = halo.cols();
+    for (&slot, bytes) in slots.iter().zip(payload_rows(payload, slots.len(), dim)) {
+        for (v, c) in halo
+            .row_mut(slot as usize)
+            .iter_mut()
+            .zip(bytes.chunks_exact(4))
+        {
+            *v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        }
+    }
+}
+
+/// Decodes an fp32 payload and adds row `k` into row `rows[k]` of `acc`, in
+/// the per-element order of [`Matrix::scatter_add_rows`] (so gradients are
+/// bit-identical to decoding first and scatter-adding after).
+///
+/// # Panics
+///
+/// Panics if the payload does not hold one `acc.cols()`-wide row per index.
+fn add_rows_from_bytes(payload: &[u8], acc: &mut Matrix, rows: &[u32]) {
+    let dim = acc.cols();
+    for (&r, bytes) in rows.iter().zip(payload_rows(payload, rows.len(), dim)) {
+        for (v, c) in acc
+            .row_mut(r as usize)
+            .iter_mut()
+            .zip(bytes.chunks_exact(4))
+        {
+            *v += f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        }
+    }
+}
+
+/// Queues `payload` for peer `q` on a sparse ring list, unless it is empty:
+/// the ring carries only the device pairs that have data.
+pub(crate) fn push_send(sends: &mut Vec<(usize, Bytes)>, q: usize, payload: Bytes) {
+    if !payload.is_empty() {
+        sends.push((q, payload));
+    }
+}
+
 /// Full-precision forward halo exchange: sends boundary rows of `x` to every
 /// peer and returns the filled halo matrix (`num_halo x dim`).
 pub fn exchange_forward_fp32(
@@ -165,31 +236,22 @@ pub fn exchange_forward_fp32(
 ) -> (Matrix, ExchangeStats) {
     let n = part.num_parts;
     let dim = x.cols();
+    assert_eq!(x.rows(), part.num_local(), "x must cover local nodes");
     let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, Bytes)> = Vec::new();
     for q in 0..n {
         if q == part.rank || part.send_sets[q].is_empty() {
-            payloads.push(Bytes::new());
             continue;
         }
-        let msgs = part.gather_send_rows(x, q);
-        let b = matrix_to_bytes(&msgs);
+        let b = rows_to_bytes(x, &part.send_sets[q], 0);
         stats.sent_bytes[q] = b.len();
-        payloads.push(b);
+        push_send(&mut sends, q, b);
     }
-    let received = dev.ring_all2all(payloads);
+    let received = dev.ring_all2all_sparse(sends);
     let mut halo = Matrix::zeros(part.num_halo(), dim);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
+    for (q, payload) in received {
         stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        let rows = part.recv_slots[q].len();
-        let m = bytes_to_matrix(&payload, rows, dim);
-        for (r, &slot) in part.recv_slots[q].iter().enumerate() {
-            halo.row_mut(slot as usize).copy_from_slice(m.row(r));
-        }
+        copy_rows_from_bytes(&payload, &mut halo, &part.recv_slots[q]);
     }
     (halo, stats)
 }
@@ -231,10 +293,9 @@ pub fn exchange_forward_quant_ef(
     let n = part.num_parts;
     let dim = x.cols();
     let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, Bytes)> = Vec::new();
     for q in 0..n {
         if q == part.rank || part.send_sets[q].is_empty() {
-            payloads.push(Bytes::new());
             continue;
         }
         assert_eq!(
@@ -264,16 +325,12 @@ pub fn exchange_forward_quant_ef(
             res[q] = r;
         }
         stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
+        push_send(&mut sends, q, block.bytes);
     }
-    let received = dev.ring_all2all(payloads);
+    let received = dev.ring_all2all_sparse(sends);
     let mut halo = Matrix::zeros(part.num_halo(), dim);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
+    for (q, payload) in received {
         stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
         let rows = part.recv_slots[q].len();
         let block = EncodedBlock {
             bytes: payload,
@@ -345,10 +402,9 @@ pub fn exchange_forward_quant_streamed(
     let n = part.num_parts;
     let dim = x.cols();
     let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, Bytes)> = Vec::new();
     for q in 0..n {
         if q == part.rank || part.send_sets[q].is_empty() {
-            payloads.push(Bytes::new());
             continue;
         }
         assert_eq!(
@@ -363,16 +419,12 @@ pub fn exchange_forward_quant_streamed(
         stats.encode_stats.merge(&enc_stats);
         stats.streamed_send[q] = streamed_send_seconds(cost, part.rank, q, &profile);
         stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
+        push_send(&mut sends, q, block.bytes);
     }
-    let received = dev.ring_all2all(payloads);
+    let received = dev.ring_all2all_sparse(sends);
     let mut halo = Matrix::zeros(part.num_halo(), dim);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
+    for (q, payload) in received {
         stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
         let rows = part.recv_slots[q].len();
         let block = EncodedBlock {
             bytes: payload,
@@ -422,31 +474,22 @@ pub fn exchange_backward_fp32(
     grad_local: &mut Matrix,
 ) -> ExchangeStats {
     let n = part.num_parts;
-    let dim = grad_ext.cols();
     assert_eq!(grad_ext.rows(), part.num_ext(), "grad_ext shape");
     assert_eq!(grad_local.rows(), part.num_local(), "grad_local shape");
     let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, Bytes)> = Vec::new();
     for q in 0..n {
         if q == part.rank || part.recv_slots[q].is_empty() {
-            payloads.push(Bytes::new());
             continue;
         }
-        let msgs = gather_halo_grads(part, grad_ext, q);
-        let b = matrix_to_bytes(&msgs);
+        let b = rows_to_bytes(grad_ext, &part.recv_slots[q], part.num_local());
         stats.sent_bytes[q] = b.len();
-        payloads.push(b);
+        push_send(&mut sends, q, b);
     }
-    let received = dev.ring_all2all(payloads);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
+    let received = dev.ring_all2all_sparse(sends);
+    for (q, payload) in received {
         stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
-        let rows = part.send_sets[q].len();
-        let m = bytes_to_matrix(&payload, rows, dim);
-        scatter_grads(part, grad_local, q, &m);
+        add_rows_from_bytes(&payload, grad_local, &part.send_sets[q]);
     }
     stats
 }
@@ -487,10 +530,9 @@ pub fn exchange_backward_quant_ef(
     let dim = grad_ext.cols();
     assert_eq!(grad_ext.rows(), part.num_ext(), "grad_ext shape");
     let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, Bytes)> = Vec::new();
     for q in 0..n {
         if q == part.rank || part.recv_slots[q].is_empty() {
-            payloads.push(Bytes::new());
             continue;
         }
         assert_eq!(
@@ -519,15 +561,11 @@ pub fn exchange_backward_quant_ef(
             res[q] = r;
         }
         stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
+        push_send(&mut sends, q, block.bytes);
     }
-    let received = dev.ring_all2all(payloads);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
+    let received = dev.ring_all2all_sparse(sends);
+    for (q, payload) in received {
         stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
         let rows = part.send_sets[q].len();
         let block = EncodedBlock {
             bytes: payload,
@@ -564,10 +602,9 @@ pub fn exchange_backward_quant_streamed(
     let dim = grad_ext.cols();
     assert_eq!(grad_ext.rows(), part.num_ext(), "grad_ext shape");
     let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, Bytes)> = Vec::new();
     for q in 0..n {
         if q == part.rank || part.recv_slots[q].is_empty() {
-            payloads.push(Bytes::new());
             continue;
         }
         assert_eq!(
@@ -582,15 +619,11 @@ pub fn exchange_backward_quant_streamed(
         stats.encode_stats.merge(&enc_stats);
         stats.streamed_send[q] = streamed_send_seconds(cost, part.rank, q, &profile);
         stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
+        push_send(&mut sends, q, block.bytes);
     }
-    let received = dev.ring_all2all(payloads);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
+    let received = dev.ring_all2all_sparse(sends);
+    for (q, payload) in received {
         stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
         let rows = part.send_sets[q].len();
         let block = EncodedBlock {
             bytes: payload,
@@ -627,10 +660,9 @@ pub fn exchange_forward_grouped(
     let n = part.num_parts;
     let dim = x.cols();
     let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, Bytes)> = Vec::new();
     for q in 0..n {
         if q == part.rank || part.send_sets[q].is_empty() {
-            payloads.push(Bytes::new());
             continue;
         }
         assert_eq!(
@@ -642,16 +674,12 @@ pub fn exchange_forward_grouped(
         let block = quant::encode_block_grouped(&msgs, &send_widths[q], rng);
         stats.quant_ops += msgs.len() as f64 * ENCODE_OPS_PER_ELEMENT;
         stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
+        push_send(&mut sends, q, block.bytes);
     }
-    let received = dev.ring_all2all(payloads);
+    let received = dev.ring_all2all_sparse(sends);
     let mut halo = Matrix::zeros(part.num_halo(), dim);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
+    for (q, payload) in received {
         stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
         let rows = part.recv_slots[q].len();
         assert_eq!(
             recv_widths[q].len(),
@@ -695,10 +723,9 @@ pub fn exchange_backward_grouped(
     let dim = grad_ext.cols();
     assert_eq!(grad_ext.rows(), part.num_ext(), "grad_ext shape");
     let mut stats = ExchangeStats::new(n);
-    let mut payloads: Vec<Bytes> = Vec::with_capacity(n);
+    let mut sends: Vec<(usize, Bytes)> = Vec::new();
     for q in 0..n {
         if q == part.rank || part.recv_slots[q].is_empty() {
-            payloads.push(Bytes::new());
             continue;
         }
         assert_eq!(
@@ -710,15 +737,11 @@ pub fn exchange_backward_grouped(
         let block = quant::encode_block_grouped(&msgs, &send_widths[q], rng);
         stats.quant_ops += msgs.len() as f64 * ENCODE_OPS_PER_ELEMENT;
         stats.sent_bytes[q] = block.wire_len();
-        payloads.push(block.bytes);
+        push_send(&mut sends, q, block.bytes);
     }
-    let received = dev.ring_all2all(payloads);
-    for (q, payload) in received.into_iter().enumerate() {
-        let Some(payload) = payload else { continue };
+    let received = dev.ring_all2all_sparse(sends);
+    for (q, payload) in received {
         stats.recv_bytes[q] = payload.len();
-        if payload.is_empty() {
-            continue;
-        }
         let rows = part.send_sets[q].len();
         assert_eq!(
             recv_widths[q].len(),

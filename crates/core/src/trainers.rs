@@ -465,25 +465,18 @@ impl<'a> DeviceTrainer<'a> {
         let broadcast = epoch == 0 || drifted || stale_for >= self.cfg.sancus_staleness.max(1);
 
         // Move boundary rows (or nothing) to every peer.
-        let mut payloads: Vec<bytes::Bytes> = Vec::with_capacity(n);
-        for q in 0..n {
-            if !broadcast || q == self.part.rank || self.part.send_sets[q].is_empty() {
-                payloads.push(bytes::Bytes::new());
-            } else {
-                let msgs = self.part.gather_send_rows(h, q);
-                payloads.push(crate::exchange::matrix_to_bytes(&msgs));
+        let mut sends: Vec<(usize, bytes::Bytes)> = Vec::new();
+        if broadcast {
+            for q in 0..n {
+                if q != self.part.rank && !self.part.send_sets[q].is_empty() {
+                    let b = crate::exchange::rows_to_bytes(h, &self.part.send_sets[q], 0);
+                    crate::exchange::push_send(&mut sends, q, b);
+                }
             }
         }
-        let received = self.dev.ring_all2all(payloads);
+        let received = self.dev.ring_all2all_sparse(sends);
         let mut halo = std::mem::replace(&mut self.halo_cache[l], Matrix::zeros(0, 0));
-        let mut stats = ExchangeStats {
-            sent_bytes: vec![0; n],
-            recv_bytes: vec![0; n],
-            quant_cpu_seconds: 0.0,
-            quant_ops: 0.0,
-            encode_stats: quant::EncodeStats::default(),
-            streamed_send: vec![0.0; n],
-        };
+        let mut stats = ExchangeStats::new(n);
         if broadcast {
             self.sancus_snapshot[l] = Some(h.clone());
             self.sancus_last[l] = epoch;
@@ -494,17 +487,10 @@ impl<'a> DeviceTrainer<'a> {
                 }
             }
         }
-        for (q, payload) in received.into_iter().enumerate() {
-            let Some(payload) = payload else { continue };
-            if payload.is_empty() {
-                continue; // peer skipped its broadcast: keep stale rows
-            }
+        // Peers that skipped their broadcast send nothing: keep stale rows.
+        for (q, payload) in received {
             stats.recv_bytes[q] = self.part.part_sizes[q] * dim * 4;
-            let rows = self.part.recv_slots[q].len();
-            let m = crate::exchange::bytes_to_matrix(&payload, rows, dim);
-            for (r, &slot) in self.part.recv_slots[q].iter().enumerate() {
-                halo.row_mut(slot as usize).copy_from_slice(m.row(r));
-            }
+            crate::exchange::copy_rows_from_bytes(&payload, &mut halo, &self.part.recv_slots[q]);
         }
         let comm_secs = stats.sequential_seconds(&self.cost, self.part.rank);
         self.charge(tb, TimeCategory::Comm, comm_secs);

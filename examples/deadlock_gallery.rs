@@ -184,7 +184,10 @@ impl DeviceProgram for GhostSync {
         let n = ctx.num_devices();
         match input {
             Resume::Start => Step::Yield(Command::RingAll2All {
-                payloads: vec![Bytes::from_static(b"ghost"); n],
+                payloads: (0..n)
+                    .filter(|&dst| dst != ctx.rank())
+                    .map(|dst| (dst, Bytes::from_static(b"ghost")))
+                    .collect(),
             }),
             Resume::RingDone(_) => Step::Yield(Command::Scatter {
                 root: 0,

@@ -33,6 +33,9 @@ ADAQP_SAN=1 cargo run --offline -q --release -p adaqp --bin adaqp -- \
 echo "==> cargo test -q"
 cargo test --offline -q
 
+echo "==> comm event-only tests (no thread-backend: the configuration left once the thread transport is deleted)"
+cargo test --offline -q -p comm --no-default-features
+
 echo "==> e2ebench unit tests (its own package: a public-API change that breaks the benchmark fails here)"
 cargo test --release --offline -q --manifest-path e2ebench/Cargo.toml
 

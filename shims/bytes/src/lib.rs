@@ -11,21 +11,30 @@ use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
 /// A cheaply cloneable, immutable view into a shared byte buffer.
+///
+/// An empty buffer holds no allocation: constructing, cloning and dropping
+/// one is free, whichever constructor produced it.
 #[derive(Clone, Default)]
 pub struct Bytes {
     // `Arc<Vec<u8>>` rather than `Arc<[u8]>`: converting a `Vec` into an
     // `Arc<[u8]>` copies the contents into a fresh allocation, and
     // `Bytes::from(Vec<u8>)` sits on the codec's per-block hot path.
-    // Wrapping the vector keeps the conversion zero-copy.
-    data: Arc<Vec<u8>>,
+    // Wrapping the vector keeps the conversion zero-copy. `None` is the
+    // empty buffer (and the only representation of it), so the many empty
+    // payloads of a sparse exchange never touch the allocator.
+    data: Option<Arc<Vec<u8>>>,
     start: usize,
     end: usize,
 }
 
 impl Bytes {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Self::from(Vec::new())
+    /// Creates an empty buffer (no allocation).
+    pub const fn new() -> Self {
+        Self {
+            data: None,
+            start: 0,
+            end: 0,
+        }
     }
 
     /// Wraps a static byte slice (copied; the zero-copy distinction does not
@@ -61,8 +70,11 @@ impl Bytes {
             Bound::Unbounded => self.len(),
         };
         assert!(lo <= hi && hi <= self.len(), "slice out of bounds");
+        if lo == hi {
+            return Self::new();
+        }
         Self {
-            data: Arc::clone(&self.data),
+            data: self.data.clone(),
             start: self.start + lo,
             end: self.start + hi,
         }
@@ -76,9 +88,12 @@ impl Bytes {
 
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
+        if v.is_empty() {
+            return Self::new();
+        }
         let end = v.len();
         Self {
-            data: Arc::new(v),
+            data: Some(Arc::new(v)),
             start: 0,
             end,
         }
@@ -93,7 +108,10 @@ impl From<&[u8]> for Bytes {
 
 impl AsRef<[u8]> for Bytes {
     fn as_ref(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.data {
+            Some(data) => &data[self.start..self.end],
+            None => &[],
+        }
     }
 }
 
@@ -235,5 +253,45 @@ mod tests {
         assert_eq!(s.to_vec(), 0xAABBCCDDu32.to_le_bytes().to_vec());
         let nested = s.slice(1..3);
         assert_eq!(nested.as_ref(), &0xAABBCCDDu32.to_le_bytes()[1..3]);
+    }
+
+    #[test]
+    fn every_empty_construction_is_the_same_empty_buffer() {
+        const EMPTY: Bytes = Bytes::new();
+        let full = Bytes::from(vec![1, 2, 3]);
+        let empties = [
+            EMPTY.clone(),
+            Bytes::new(),
+            Bytes::default(),
+            Bytes::from(Vec::new()),
+            Bytes::from(&[][..]),
+            Bytes::from_static(b""),
+            full.slice(0..0),
+            full.slice(2..2),
+            full.slice(3..),
+            full.slice(1..2).slice(1..),
+        ];
+        for (i, b) in empties.iter().enumerate() {
+            assert_eq!(b, &EMPTY, "construction {i}");
+            assert!(b.is_empty(), "construction {i}");
+            assert_eq!(b.len(), 0, "construction {i}");
+            assert_eq!(&**b, &[] as &[u8], "construction {i}");
+            assert_eq!(b.to_vec(), Vec::<u8>::new(), "construction {i}");
+            assert_eq!(b.slice(..), EMPTY, "construction {i}");
+            assert_eq!(format!("{b:?}"), "b\"\"");
+        }
+        assert_ne!(full, EMPTY);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of bounds")]
+    fn slicing_an_empty_buffer_still_bounds_checks() {
+        let _ = Bytes::new().slice(0..1);
+    }
+
+    #[test]
+    #[should_panic(expected = "slice out of bounds")]
+    fn slicing_an_empty_slice_still_bounds_checks() {
+        let _ = Bytes::from(vec![1, 2, 3]).slice(3..3).slice(..1);
     }
 }
