@@ -3,8 +3,10 @@
 //!
 //! Extension (discrete-event cluster core): a weak-scaling sweep at 64,
 //! 256 and 1024 devices on a hierarchical rack/spine topology. Every fleet
-//! runs inside one process — the event loop advances device state machines
-//! over the simulated clock, so 1024 devices cost memory, not threads.
+//! runs inside one process: one event loop advances every device over the
+//! simulated clock. The trainers run as closures, each on one OS thread
+//! parked in lockstep with the loop (257 threads at 256 devices), and
+//! all devices share one copy of the `n x n` link-cost tables.
 
 use adaqp::{Method, TopologySpec};
 use graph::DatasetSpec;

@@ -1,5 +1,7 @@
 //! Affine link cost model (`t = theta * bytes + gamma`).
 
+use std::sync::Arc;
+
 use serde::{Deserialize, Serialize};
 
 /// Physical layout of the simulated cluster: which device ranks live on
@@ -61,17 +63,29 @@ impl ClusterTopology {
 /// // Self-transfers are free.
 /// assert_eq!(cm.transfer_time(1, 1, 123), 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// The link tables are read-only data for the whole fleet, so they live
+/// behind one [`Arc`]: cloning a model (one clone per simulated device) is a
+/// reference-count bump, and every clone reads the same `n x n` table.
+/// [`CostModel::set_link`] and [`CostModel::with_device_scales`] are
+/// copy-on-write, so changing one clone never changes another.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     n: usize,
-    /// Seconds per byte, row-major `n x n`.
-    theta: Vec<f64>,
-    /// Fixed per-transfer seconds, row-major `n x n`.
-    gamma: Vec<f64>,
+    links: Arc<Links>,
     /// Divisor applied to measured CPU compute time to emulate accelerator
     /// speed (a V100 is roughly an order of magnitude faster than the single
     /// CPU thread a simulated device gets here).
     pub compute_speedup: f64,
+}
+
+/// The shared, read-mostly part of a [`CostModel`].
+#[derive(Debug, Clone, PartialEq)]
+struct Links {
+    /// Seconds per byte, row-major `n x n`.
+    theta: Vec<f64>,
+    /// Fixed per-transfer seconds, row-major `n x n`.
+    gamma: Vec<f64>,
     /// Optional per-device speedup multipliers on top of `compute_speedup`,
     /// for heterogeneous clusters (the paper's 6M-4D testbed mixes V100 and
     /// A100 machines). `None` means a homogeneous cluster.
@@ -112,15 +126,13 @@ impl CostModel {
     pub fn homogeneous(n: usize, bandwidth_bytes_per_sec: f64, latency_sec: f64) -> Self {
         assert!(n > 0, "need at least one device");
         assert!(bandwidth_bytes_per_sec > 0.0, "bandwidth must be positive");
-        let mut cm = Self {
-            n,
-            theta: vec![1.0 / bandwidth_bytes_per_sec; n * n],
-            gamma: vec![latency_sec; n * n],
-            compute_speedup: DEFAULT_COMPUTE_SPEEDUP,
-            per_device_scale: None,
-        };
-        cm.zero_diagonal();
-        cm
+        let mut theta = vec![1.0 / bandwidth_bytes_per_sec; n * n];
+        let mut gamma = vec![latency_sec; n * n];
+        for i in 0..n {
+            theta[i * n + i] = 0.0;
+            gamma[i * n + i] = 0.0;
+        }
+        Self::from_tables(n, theta, gamma)
     }
 
     /// Builds the default two-tier model for an `xM-yD` topology: fast
@@ -166,12 +178,20 @@ impl CostModel {
                 gamma[s * n + d] = latency_sec;
             }
         }
+        Self::from_tables(n, theta, gamma)
+    }
+
+    /// Wraps freshly built row-major `n x n` tables in a homogeneous-compute
+    /// model with the default speedup.
+    fn from_tables(n: usize, theta: Vec<f64>, gamma: Vec<f64>) -> Self {
         Self {
             n,
-            theta,
-            gamma,
+            links: Arc::new(Links {
+                theta,
+                gamma,
+                per_device_scale: None,
+            }),
             compute_speedup: DEFAULT_COMPUTE_SPEEDUP,
-            per_device_scale: None,
         }
     }
 
@@ -184,13 +204,17 @@ impl CostModel {
 
     /// Overrides one directed link's parameters.
     ///
+    /// Copy-on-write: when the table is shared with other clones, this
+    /// model first takes a private copy, so no other clone sees the change.
+    ///
     /// # Panics
     ///
     /// Panics if ranks are out of range.
     pub fn set_link(&mut self, src: usize, dst: usize, theta: f64, gamma: f64) {
         assert!(src < self.n && dst < self.n, "rank out of range");
-        self.theta[src * self.n + dst] = theta;
-        self.gamma[src * self.n + dst] = gamma;
+        let links = Arc::make_mut(&mut self.links);
+        links.theta[src * self.n + dst] = theta;
+        links.gamma[src * self.n + dst] = gamma;
     }
 
     /// Number of devices.
@@ -209,17 +233,16 @@ impl CostModel {
         if src == dst || bytes == 0 {
             return 0.0;
         }
-        self.theta[src * self.n + dst] * bytes as f64 + self.gamma[src * self.n + dst]
+        let at = src * self.n + dst;
+        self.links.theta[at] * bytes as f64 + self.links.gamma[at]
     }
 
     /// The `(theta, gamma)` parameters of a directed link, as used by the
     /// bit-width assigner's time objective.
     pub fn link_params(&self, src: usize, dst: usize) -> (f64, f64) {
         assert!(src < self.n && dst < self.n, "rank out of range");
-        (
-            self.theta[src * self.n + dst],
-            self.gamma[src * self.n + dst],
-        )
+        let at = src * self.n + dst;
+        (self.links.theta[at], self.links.gamma[at])
     }
 
     /// Sets per-device speedup multipliers (builder style): device `r`'s
@@ -233,7 +256,7 @@ impl CostModel {
     pub fn with_device_scales(mut self, scales: Vec<f64>) -> Self {
         assert_eq!(scales.len(), self.n, "one scale per device");
         assert!(scales.iter().all(|&s| s > 0.0), "scales must be positive");
-        self.per_device_scale = Some(scales);
+        Arc::make_mut(&mut self.links).per_device_scale = Some(scales);
         self
     }
 
@@ -250,7 +273,11 @@ impl CostModel {
     /// Panics if `rank` is out of range.
     pub fn compute_time_for(&self, rank: usize, cpu_seconds: f64) -> f64 {
         assert!(rank < self.n, "rank out of range");
-        let scale = self.per_device_scale.as_ref().map_or(1.0, |s| s[rank]);
+        let scale = self
+            .links
+            .per_device_scale
+            .as_ref()
+            .map_or(1.0, |s| s[rank]);
         cpu_seconds / (self.compute_speedup * scale)
     }
 
@@ -268,7 +295,11 @@ impl CostModel {
     /// Panics if `rank` is out of range.
     pub fn ops_time_for(&self, rank: usize, ops: f64) -> f64 {
         assert!(rank < self.n, "rank out of range");
-        let scale = self.per_device_scale.as_ref().map_or(1.0, |s| s[rank]);
+        let scale = self
+            .links
+            .per_device_scale
+            .as_ref()
+            .map_or(1.0, |s| s[rank]);
         ops / (BASE_CPU_OPS_PER_SEC * self.compute_speedup * scale)
     }
 
@@ -345,13 +376,6 @@ impl CostModel {
         }
         total
     }
-
-    fn zero_diagonal(&mut self) {
-        for i in 0..self.n {
-            self.theta[i * self.n + i] = 0.0;
-            self.gamma[i * self.n + i] = 0.0;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -410,6 +434,78 @@ mod tests {
         assert_eq!(cm.transfer_time(0, 1, 2), 7.0);
         // Reverse direction untouched.
         assert!(cm.transfer_time(1, 0, 2) < 1e-6);
+
+        // Copy-on-write: overriding a link on a clone leaves the original
+        // (and every other clone) bit-for-bit as it was.
+        let original = cm.clone();
+        let sibling = cm.clone();
+        let mut edited = cm.clone();
+        edited.set_link(1, 0, 2.0, 3.0);
+        assert_eq!(edited.transfer_time(1, 0, 2), 7.0);
+        assert!(!Arc::ptr_eq(&edited.links, &original.links));
+        assert!(Arc::ptr_eq(&sibling.links, &original.links));
+        for model in [&cm, &sibling] {
+            for (s, d) in [(0, 1), (1, 0)] {
+                let (t, g) = model.link_params(s, d);
+                let (t0, g0) = original.link_params(s, d);
+                assert_eq!((t.to_bits(), g.to_bits()), (t0.to_bits(), g0.to_bits()));
+                assert_eq!(
+                    model.transfer_time(s, d, 2).to_bits(),
+                    original.transfer_time(s, d, 2).to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_one_table() {
+        let cm = CostModel::homogeneous(4, 1e9, 1e-6).with_device_scales(vec![1.0; 4]);
+        let copy = cm.clone();
+        assert!(Arc::ptr_eq(&cm.links, &copy.links));
+        assert_eq!(cm, copy);
+
+        // The fleet shape the table7 sweep reaches: one clone per device
+        // must not copy the 1024 x 1024 tables (16 MiB each time).
+        let fleet = crate::Topology::new(256, 4).cost_model();
+        assert_eq!(fleet.num_devices(), 1024);
+        let clones: Vec<CostModel> = (0..1024).map(|_| fleet.clone()).collect();
+        assert!(clones.iter().all(|c| Arc::ptr_eq(&c.links, &fleet.links)));
+        assert_eq!(Arc::strong_count(&fleet.links), 1025);
+    }
+
+    #[test]
+    fn racked_oversubscribed_lowering_matches_tiers_bitwise() {
+        // 7 machines x 2 devices, racks of 3 machines (the last one
+        // partial), 4:1 spine. Expectations are built per tier from the
+        // constants, independent of `Topology::rack_of`.
+        let (machines, per_machine, per_rack, ratio) = (7, 2, 3, 4.0);
+        let cm = crate::Topology::new(machines, per_machine)
+            .machines_per_rack(per_rack)
+            .oversubscription(ratio)
+            .cost_model();
+        let n = machines * per_machine;
+        assert_eq!(cm.num_devices(), n);
+        let machine = |r: usize| r / per_machine;
+        let rack = |r: usize| machine(r) / per_rack;
+        for src in 0..n {
+            for dst in 0..n {
+                let (theta, gamma) = cm.link_params(src, dst);
+                let (want_theta, want_gamma) = if src == dst {
+                    (0.0, 0.0)
+                } else if machine(src) == machine(dst) {
+                    (1.0 / DEFAULT_INTRA_BW, DEFAULT_LATENCY)
+                } else if rack(src) == rack(dst) {
+                    (1.0 / DEFAULT_INTER_BW, DEFAULT_LATENCY)
+                } else {
+                    (1.0 / (DEFAULT_INTER_BW / ratio), DEFAULT_LATENCY)
+                };
+                assert_eq!(
+                    (theta.to_bits(), gamma.to_bits()),
+                    (want_theta.to_bits(), want_gamma.to_bits()),
+                    "link {src} -> {dst}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -52,8 +52,9 @@ pub struct FlightRecorder {
 
 impl FlightRecorder {
     /// A recorder for `n` devices. `cost` (a clone of the run's cost
-    /// model) annotates departures with their `theta * bytes` / `gamma`
-    /// split; pass `None` for pure-ordering runs.
+    /// model, which shares the run's link tables rather than copying them)
+    /// annotates departures with their `theta * bytes` / `gamma` split;
+    /// pass `None` for pure-ordering runs.
     pub fn new(n: usize, cost: Option<CostModel>) -> Self {
         FlightRecorder {
             n,

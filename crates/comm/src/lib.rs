@@ -3,11 +3,12 @@
 //! The paper runs on multi-GPU, multi-machine clusters. This crate replaces
 //! that hardware with a faithful *functional* simulation:
 //!
-//! * **Devices are state machines.** Each device implements
-//!   [`DeviceProgram`] (or runs as an imperative closure through the
-//!   lockstep adapter of [`Cluster::run_fn`]) and is advanced by one
-//!   deterministic discrete-event scheduler — no OS thread per device, so a
-//!   single process simulates thousands of ranks.
+//! * **Devices are state machines.** Each device is advanced by one
+//!   deterministic discrete-event scheduler. A native [`DeviceProgram`]
+//!   needs no OS thread of its own. An imperative closure started through
+//!   [`Cluster::run_fn`] still runs on one OS thread per device, held in
+//!   lockstep with the scheduler (the trainers run this way: 256 devices
+//!   peak at 257 threads).
 //! * **Links are events.** Payloads (quantized byte streams) actually move
 //!   between devices, so numerics are end-to-end real; each transfer is an
 //!   event charged `theta * bytes + gamma` on the simulated clock.
@@ -15,8 +16,9 @@
 //!   carries the per-pair affine parameters — the same cost model the
 //!   paper's bit-width assigner uses (Eqn. 10, citing Sarvotham et al.) —
 //!   and the [`Topology`] builder lowers hierarchical machine/rack/spine
-//!   bandwidth tiers onto it. Compute time is charged analytically from
-//!   kernel operation counts.
+//!   bandwidth tiers onto it. Its `n x n` link tables are shared by every
+//!   clone, so a fleet holds one table, not one per device. Compute time is
+//!   charged analytically from kernel operation counts.
 //! * **[`TimeBreakdown`]** accumulates per-category simulated seconds
 //!   (communication / central computation / marginal computation /
 //!   quantization / solver), which is exactly the decomposition Fig. 10

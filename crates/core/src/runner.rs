@@ -177,9 +177,10 @@ fn run_experiment_on(
         );
         trainer.run()
     };
-    // The recorder carries its own cost-model copy purely to annotate
-    // message departures with the theta*bytes + gamma split; the scheduler
-    // itself keeps running uncosted, exactly as in an unprofiled run.
+    // The recorder holds a clone of the cost model (sharing the devices'
+    // link tables) purely to annotate message departures with the
+    // theta*bytes + gamma split; the scheduler itself keeps running
+    // uncosted, exactly as in an unprofiled run.
     let mut recorder = profiling.then(|| comm::FlightRecorder::new(n, Some(cost.clone())));
     let outputs: Vec<DeviceOutput> = match backend {
         Backend::Event => Cluster::try_run_fn_recorded(n, None, recorder.as_mut(), device)?.outputs,

@@ -47,6 +47,11 @@ cargo run --offline -q --release -p adaqp --bin adaqp -- \
     run --dataset tiny --method adaqp --machines 16 --devices 4 \
     --epochs 2 --hidden 8 --seed 11 --rack-size 2 --oversub 4 >/dev/null
 
+echo "==> scalability smoke (256 devices: the e2ebench weak256 fleet, where per-device n x n state shows)"
+cargo run --offline -q --release -p adaqp --bin adaqp -- \
+    run --dataset tiny --scale 64 --method adaqp --machines 64 --devices 4 \
+    --epochs 2 --hidden 8 --sage --period 2 --seed 11 --rack-size 8 --oversub 4 >/dev/null
+
 echo "==> deadlock gallery (static flags must match runtime diagnosis)"
 cargo run --offline -q --release --example deadlock_gallery >/dev/null
 
